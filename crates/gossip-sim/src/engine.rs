@@ -1,20 +1,31 @@
 //! The asynchronous discrete-event driver.
 //!
 //! [`AsyncSimulator`] owns the state vector, a tick sampler, and a handler;
-//! [`AsyncSimulator::run`] repeatedly draws the next edge tick, invokes the
-//! handler, updates the trace, and evaluates the stopping rule.
+//! [`AsyncSimulator::run`] repeatedly draws the next edge tick, applies the
+//! contact, updates the trace, and evaluates the stopping rule.
+//!
+//! Every engine path shares two pieces of code.  One serial per-tick loop
+//! serves the legacy layout, the flat layout, and the f32 tier
+//! ([`crate::flat::run_f32`]); it is generic over how a delivered contact is
+//! applied (a handler call with an [`EdgeTickContext`], or a pure pairwise
+//! kernel on packed endpoints) and over how values are stored (f64
+//! [`NodeValues`], or f32 lanes widened exactly into the moment tracker).
+//! One refresh / salvage / recentre / stop / settling block runs after every
+//! tick of that loop and after every batch of the sharded engine.
 
 use crate::adversary::{AdversaryAction, AdversaryInjector, AdversaryPlan, AdversaryStats};
 use crate::checkpoint::{EngineCheckpoint, SamplerState};
-use crate::clock::{ClockScratch, EdgeClockQueue, GlobalTickProcess, TickProcess};
+use crate::clock::{ClockScratch, EdgeClockQueue, GlobalTickProcess, TickEvent, TickProcess};
 use crate::fault::{ContactFate, FaultInjector, FaultPlan, FaultStats};
-use crate::handler::{EdgeTickContext, EdgeTickHandler};
+use crate::flat::FlatTopology;
+use crate::handler::{EdgeTickContext, EdgeTickHandler, PairwiseKernel};
+use crate::moments::{shifted_delta, MomentTracker};
 use crate::shard::{BatchPlanner, SharedValues, BATCH_TICKS};
 use crate::stopping::{SimulationStatus, StopReason, StoppingRule};
 use crate::trace::{Trace, TraceConfig, TraceRecorder};
 use crate::values::NodeValues;
 use crate::{Result, SimError};
-use gossip_graph::{Edge, Graph, Partition};
+use gossip_graph::{Edge, EdgeId, Graph, NodeId, Partition};
 use gossip_linalg::Vector;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
@@ -29,29 +40,29 @@ pub enum ClockModel {
     GlobalUniform,
 }
 
-/// Which in-memory data layout the serial engine's hot loop runs on.
+/// How the serial per-tick loop reads endpoints and applies a contact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum MemoryLayout {
-    /// The historical layout: ticks are dispatched through the
-    /// [`EdgeTickHandler`] with an [`EdgeTickContext`], and endpoints come
-    /// from the array-of-structs [`Edge`] slice.  Byte-stable with every
-    /// earlier release.
+    /// The historical layout: each contact calls the [`EdgeTickHandler`]
+    /// with an [`EdgeTickContext`], and endpoints come from the
+    /// array-of-structs [`Edge`] slice.  Byte-stable with every earlier
+    /// release.
     #[default]
     Legacy,
-    /// Flat struct-of-arrays layout built for ~10⁶-node runs: endpoints come
-    /// from the packed CSR-companion table
-    /// ([`gossip_graph::Graph::packed_edge_endpoints`], 8 bytes per edge in
-    /// edge-id order — the order the samplers draw, so tick processing walks
-    /// it cache-consciously), values are mutated through the raw
-    /// struct-of-arrays slice with the moment tracker's shifted sums updated
-    /// alongside, and the handler is replaced by its
-    /// [`pairwise_kernel`].  **Bit-identical to [`Self::Legacy`]**: every
-    /// value read, kernel application, and `record_update` happens in the
-    /// same order with the same operands (see `tests/memscale_differential.rs`).
+    /// Flat layout built for ~10⁶-node runs: endpoints come from the packed
+    /// CSR-companion table ([`gossip_graph::Graph::packed_edge_endpoints`],
+    /// 8 bytes per edge in edge-id order — the order the samplers draw, so
+    /// tick processing walks it cache-consciously), and each delivered
+    /// contact applies the handler's [`pairwise_kernel`] to the two values
+    /// instead of calling the handler.  Both layouts run the same per-tick
+    /// loop; only the contact differs, and the kernel's two writes make the
+    /// same `record_update` calls as the handler's `set`s, so the run is
+    /// **bit-identical to [`Self::Legacy`]** (see
+    /// `tests/memscale_differential.rs`).
     ///
     /// Requires a handler with a kernel, [`VarianceMode::Incremental`], no
     /// trace, and at most `u32::MAX + 1` nodes; otherwise the engine
-    /// silently falls back to the legacy loop, exactly like
+    /// silently falls back to [`Self::Legacy`], exactly like
     /// [`SimulationConfig::shards`] does.  When both `shards` and this are
     /// set, sharding wins (it is its own deterministic mode).
     ///
@@ -99,12 +110,14 @@ pub struct SimulationConfig {
     /// How often (in ticks) the stopping rule is evaluated.  With the
     /// default [`VarianceMode::Incremental`] a check is O(1), so the default
     /// of 1 (per-tick checking, no stopping latency) is affordable at any
-    /// graph size.
+    /// graph size.  Must be at least 1: the builder clamps, and a direct
+    /// assignment of 0 is rejected as [`SimError::InvalidConfig`].
     pub check_every_ticks: u64,
     /// How the per-check variance is obtained.
     pub variance_mode: VarianceMode,
     /// Period (in ticks) of the deterministic exact recompute of the running
     /// moments under [`VarianceMode::Incremental`]; bounds float drift.
+    /// Must be at least 1, like [`Self::check_every_ticks`].
     pub moment_refresh_every_ticks: u64,
     /// When set, the engine tracks the **settling time**: the last checked
     /// time at which `var X(t)/var X(0)` was still at or above this
@@ -124,8 +137,8 @@ pub struct SimulationConfig {
     /// `Some` plan for which [`AdversaryPlan::is_empty`] holds, are
     /// byte-identical to the adversary-free engine.
     pub adversary_plan: Option<AdversaryPlan>,
-    /// Intra-run sharding.  `None` (the default) runs the legacy serial
-    /// per-tick loop, byte-stable with earlier releases.  `Some(k)` switches
+    /// Intra-run sharding.  `None` (the default) runs the serial per-tick
+    /// loop, byte-stable with earlier releases.  `Some(k)` switches
     /// to the **sharded** engine: events are drawn serially (the RNG stream
     /// is sequential by nature) but applied in conflict-free wavefront
     /// rounds fanned out over up to `k` worker lanes, with a deterministic
@@ -135,11 +148,12 @@ pub struct SimulationConfig {
     /// granularity and the moment tracker sums lane partials in a different
     /// float order).  Sharding requires a handler with a
     /// [`pairwise_kernel`], [`VarianceMode::Incremental`], and no trace;
-    /// otherwise the engine silently falls back to the legacy loop.
+    /// otherwise the engine silently falls back to the serial loop.
     ///
     /// [`pairwise_kernel`]: crate::handler::EdgeTickHandler::pairwise_kernel
     pub shards: Option<usize>,
-    /// Which data layout the serial hot loop runs on (see [`MemoryLayout`]).
+    /// Which data layout the serial per-tick loop runs on (see
+    /// [`MemoryLayout`]).
     /// [`MemoryLayout::FlatSoA`] is bit-identical to the default
     /// [`MemoryLayout::Legacy`] and exists purely for memory locality at
     /// large `n`.
@@ -150,13 +164,15 @@ pub struct SimulationConfig {
     /// tick-boundary style as [`Self::moment_refresh_every_ticks`] (after
     /// the tick's update, refresh, and stopping check), and capture itself
     /// never touches any RNG stream, so a checkpointing run is bit-identical
-    /// to a non-checkpointing one.  Supported by the legacy and
-    /// [`MemoryLayout::FlatSoA`] serial loops; requesting capture on a
-    /// traced or sharded run is an [`SimError::InvalidConfig`] error.
+    /// to a non-checkpointing one.  Supported by the serial per-tick loop
+    /// in both [`MemoryLayout`]s; requesting capture on a traced or
+    /// sharded run, or from the f32 tier, is an [`SimError::InvalidConfig`]
+    /// error.
     pub checkpoint_every_ticks: u64,
     /// Optional wall-clock budget for a single [`AsyncSimulator::run`]
-    /// call.  Checked every [`DEADLINE_CHECK_TICKS`] ticks (and once per
-    /// batch in the sharded engine); when it fires, `run` returns
+    /// call (or [`crate::flat::run_f32`] call).  Checked every
+    /// [`DEADLINE_CHECK_TICKS`] ticks (and once per batch in the sharded
+    /// engine); when it fires, `run` returns
     /// [`SimError::DeadlineExceeded`] with the partial state left
     /// observable on the simulator, so supervisors can censor the trial
     /// instead of hanging a sweep.  Does not affect determinism: the tick
@@ -352,21 +368,615 @@ pub(crate) enum Sampler {
 }
 
 impl Sampler {
-    /// Builds the sampler a [`SimulationConfig`] with this clock model and
-    /// seed would use (shared with the f32 tier in [`crate::flat`], which
-    /// has no `AsyncSimulator` of its own).
-    pub(crate) fn from_model(model: ClockModel, graph: &Graph, seed: u64) -> Result<Self> {
-        Ok(match model {
-            ClockModel::PerEdgeQueue => Sampler::Queue(EdgeClockQueue::new(graph, seed)?),
-            ClockModel::GlobalUniform => Sampler::Global(GlobalTickProcess::new(graph, seed)?),
+    /// The sampler `config` asks for, built from the recycled `scratch`
+    /// buffers.
+    pub(crate) fn new(
+        graph: &Graph,
+        config: &SimulationConfig,
+        scratch: &mut ClockScratch,
+    ) -> Result<Self> {
+        let seed = config.seed;
+        Ok(match config.clock_model {
+            ClockModel::PerEdgeQueue => {
+                Sampler::Queue(EdgeClockQueue::new_with_scratch(graph, seed, scratch)?)
+            }
+            ClockModel::GlobalUniform => {
+                Sampler::Global(GlobalTickProcess::new_with_scratch(graph, seed, scratch)?)
+            }
         })
     }
 
     #[inline]
-    pub(crate) fn next_tick(&mut self) -> crate::clock::TickEvent {
+    pub(crate) fn next_tick(&mut self) -> TickEvent {
         match self {
             Sampler::Queue(q) => q.next_tick(),
             Sampler::Global(g) => g.next_tick(),
+        }
+    }
+}
+
+/// A value store as the shared stop tail sees it: the running moments, and
+/// an f64 view of every value for the O(n) passes.
+pub(crate) trait Moments {
+    /// The running moment tracker.
+    fn tracker(&self) -> &MomentTracker;
+
+    /// Every value as f64 (widened into a scratch buffer where the store
+    /// keeps them otherwise), beside the tracker.
+    fn parts(&mut self) -> (&[f64], &mut MomentTracker);
+
+    /// [`SimError::NonFiniteValue`] for the first non-finite node.
+    fn check_finite(&mut self) -> Result<()> {
+        let first = self.parts().0.iter().position(|v| !v.is_finite());
+        first.map_or(Ok(()), |node| Err(SimError::NonFiniteValue { node }))
+    }
+}
+
+/// Per-node storage the serial loop reads and writes.  Every `set` makes
+/// the one `record_update(old, new)` call that [`NodeValues::set`] makes,
+/// so a contact has the same moment arithmetic in every layout.
+pub(crate) trait Storage: Moments {
+    /// The value of node `node`, as f64.
+    fn get(&self, node: usize) -> f64;
+    /// Stores `value` at node `node` and records the change.
+    fn set(&mut self, node: usize, value: f64);
+
+    /// Applies `kernel` to the pair `(u, v)`: two `get`s, then two `set`s.
+    #[inline]
+    fn apply_kernel(&mut self, u: usize, v: usize, kernel: PairwiseKernel) {
+        let (new_u, new_v) = kernel(self.get(u), self.get(v));
+        self.set(u, new_u);
+        self.set(v, new_v);
+    }
+}
+
+impl Moments for NodeValues {
+    fn tracker(&self) -> &MomentTracker {
+        self.moments()
+    }
+
+    fn parts(&mut self) -> (&[f64], &mut MomentTracker) {
+        let (values, tracker) = self.as_mut_parts();
+        (values, tracker)
+    }
+}
+
+impl Storage for NodeValues {
+    #[inline]
+    fn get(&self, node: usize) -> f64 {
+        self.as_slice()[node]
+    }
+
+    #[inline]
+    fn set(&mut self, node: usize, value: f64) {
+        NodeValues::set(self, NodeId(node), value);
+    }
+
+    /// The same writes and `record_update`s as the default, on the split
+    /// slice and tracker, which the optimizer can keep apart.
+    #[inline]
+    fn apply_kernel(&mut self, u: usize, v: usize, kernel: PairwiseKernel) {
+        let (xs, tracker) = self.as_mut_parts();
+        let (xu, xv) = (xs[u], xs[v]);
+        let (new_u, new_v) = kernel(xu, xv);
+        xs[u] = new_u;
+        tracker.record_update(xu, new_u);
+        xs[v] = new_v;
+        tracker.record_update(xv, new_v);
+    }
+}
+
+/// A node-value array that can be widened into an f64 snapshot.
+pub(crate) trait Snapshot {
+    /// Writes the values, widened to f64, into `out` (cleared first).
+    fn snapshot_into(&self, out: &mut Vec<f64>);
+}
+
+/// Values kept outside a [`NodeValues`] — the f32 tier's lanes, the sharded
+/// engine's atomic lanes — with their moment tracker beside them and a
+/// reusable f64 snapshot for the O(n) passes.
+pub(crate) struct Lanes<V> {
+    pub(crate) values: V,
+    pub(crate) tracker: MomentTracker,
+    pub(crate) wide: Vec<f64>,
+}
+
+impl<V: Snapshot> Moments for Lanes<V> {
+    fn tracker(&self) -> &MomentTracker {
+        &self.tracker
+    }
+
+    fn parts(&mut self) -> (&[f64], &mut MomentTracker) {
+        self.values.snapshot_into(&mut self.wide);
+        (&self.wide, &mut self.tracker)
+    }
+}
+
+/// How the serial loop applies a delivered contact.
+pub(crate) trait Contact<S: Storage> {
+    /// The node indices of the ticking edge.
+    fn endpoints(&self, ctx: &EdgeTickContext<'_>) -> (usize, usize);
+    /// Applies the update of the contact `ctx` between `u` and `v`.
+    fn apply(&mut self, store: &mut S, u: usize, v: usize, ctx: &EdgeTickContext<'_>);
+    /// Runs once per tick, after the (possibly suppressed) update.
+    fn observe(&mut self, _store: &S, _time: f64, _ticks: u64) {}
+}
+
+/// A pure [`PairwiseKernel`] on packed [`FlatTopology`] endpoints: the
+/// [`MemoryLayout::FlatSoA`] contact and the f32 tier's.
+pub(crate) struct KernelContact<'a>(pub(crate) &'a FlatTopology, pub(crate) PairwiseKernel);
+
+impl<S: Storage> Contact<S> for KernelContact<'_> {
+    #[inline]
+    fn endpoints(&self, ctx: &EdgeTickContext<'_>) -> (usize, usize) {
+        self.0.endpoints(ctx.edge_id.index())
+    }
+
+    #[inline]
+    fn apply(&mut self, store: &mut S, u: usize, v: usize, _ctx: &EdgeTickContext<'_>) {
+        store.apply_kernel(u, v, self.1);
+    }
+}
+
+/// A handler call — the [`MemoryLayout::Legacy`] contact — recording a
+/// trace point every tick into the recorder when `TRACE` is set.
+struct HandlerContact<'a, H, const TRACE: bool>(&'a mut H, Option<&'a mut TraceRecorder>);
+
+impl<H: EdgeTickHandler, const TRACE: bool> Contact<NodeValues> for HandlerContact<'_, H, TRACE> {
+    #[inline]
+    fn endpoints(&self, ctx: &EdgeTickContext<'_>) -> (usize, usize) {
+        let (u, v) = ctx.edge.endpoints();
+        (u.index(), v.index())
+    }
+
+    #[inline]
+    fn apply(&mut self, values: &mut NodeValues, _u: usize, _v: usize, ctx: &EdgeTickContext<'_>) {
+        self.0.on_edge_tick(values, ctx);
+    }
+
+    #[inline]
+    fn observe(&mut self, values: &NodeValues, time: f64, ticks: u64) {
+        if TRACE {
+            self.1
+                .as_mut()
+                .expect("TRACE is only instantiated with a recorder present")
+                .record(time, ticks, values, false);
+        }
+    }
+}
+
+/// Everything a run carries besides its node values and its update rule:
+/// the configuration, the tick sampler, the compiled fault and adversary
+/// plans, and the stop bookkeeping.  [`AsyncSimulator`] wraps one around
+/// f64 values and a handler; the f32 tier wraps one around f32 lanes and a
+/// kernel.
+pub(crate) struct Engine<'g> {
+    graph: &'g Graph,
+    /// Prevalidated edge table: the samplers only emit identifiers below the
+    /// edge count they were constructed with, so the hot loop indexes this
+    /// slice directly instead of going through the `Result`-returning
+    /// [`Graph::edge`] lookup on every tick.
+    edges: &'g [Edge],
+    config: SimulationConfig,
+    sampler: Sampler,
+    faults: Option<FaultInjector>,
+    adversary: Option<AdversaryInjector>,
+    initial_variance: f64,
+    last_settle: f64,
+    pub(crate) moment_refreshes: u64,
+    /// Set when an exact refresh left the tracker non-finite even though
+    /// every node value is finite (squared deviations beyond f64 range);
+    /// suppresses repeated O(n) salvage attempts until the tracker recovers.
+    moments_overflowed: bool,
+}
+
+impl<'g> Engine<'g> {
+    /// Validates the cadences and compiles `config`'s plans around the
+    /// sampler that `sampler` builds, for a run starting at variance
+    /// `initial_variance`.  A zero check or refresh cadence (the builders
+    /// clamp to 1, a direct field assignment does not) would never fire in
+    /// the serial loop and divide by zero in the sharded one.
+    pub(crate) fn new(
+        graph: &'g Graph,
+        config: SimulationConfig,
+        initial_variance: f64,
+        sampler: impl FnOnce(&SimulationConfig) -> Result<Sampler>,
+    ) -> Result<Self> {
+        if config.check_every_ticks == 0 || config.moment_refresh_every_ticks == 0 {
+            return Err(SimError::InvalidConfig {
+                reason: "check and moment-refresh cadences must be at least 1 tick".into(),
+            });
+        }
+        let faults = match &config.fault_plan {
+            Some(plan) => Some(FaultInjector::new(plan, graph)?),
+            None => None,
+        };
+        let adversary = match &config.adversary_plan {
+            Some(plan) => Some(AdversaryInjector::new(plan, graph)?),
+            None => None,
+        };
+        Ok(Engine {
+            graph,
+            edges: graph.edges(),
+            sampler: sampler(&config)?,
+            config,
+            faults,
+            adversary,
+            initial_variance,
+            last_settle: 0.0,
+            moment_refreshes: 0,
+            moments_overflowed: false,
+        })
+    }
+
+    /// One stopping check at `variance`: notes the settling time, then
+    /// evaluates the stopping rule.  At tick 0, with the initial variance,
+    /// it is the check before any event (a run may be asked to stop at
+    /// once, e.g. at zero initial variance).
+    #[inline]
+    pub(crate) fn evaluate(&mut self, time: f64, ticks: u64, variance: f64) -> Option<StopReason> {
+        let status = SimulationStatus {
+            time,
+            ticks,
+            variance,
+            initial_variance: self.initial_variance,
+        };
+        if let Some(threshold) = self.config.settling_threshold {
+            if status.variance_ratio() >= threshold {
+                self.last_settle = time;
+            }
+        }
+        self.config.stopping_rule.evaluate(&status)
+    }
+
+    /// Fault classification of one contact; `true` when it is delivered.
+    #[inline]
+    fn delivered(&mut self, edge_id: EdgeId, edge: Edge, tick: u64) -> bool {
+        self.faults
+            .as_mut()
+            .is_none_or(|injector| injector.classify(edge_id, edge, tick) == ContactFate::Delivered)
+    }
+
+    /// Runs the serial per-tick loop with the fault and adversary planes
+    /// compiled in or out to match the configuration, so the fault-free
+    /// path has no injector branch and the honest path no adversary
+    /// classification.  `capture` receives the engine, the values, the time
+    /// and the tick at every checkpoint boundary.
+    pub(crate) fn run_serial<S, C, K>(
+        &mut self,
+        store: &mut S,
+        contact: &mut C,
+        capture: &mut K,
+    ) -> Result<(f64, u64, StopReason)>
+    where
+        S: Storage,
+        C: Contact<S>,
+        K: FnMut(&Self, &S, f64, u64) -> Result<()>,
+    {
+        match (self.faults.is_some(), self.adversary.is_some()) {
+            (false, false) => self.tick_loop::<S, C, K, false, false>(store, contact, capture),
+            (false, true) => self.tick_loop::<S, C, K, false, true>(store, contact, capture),
+            (true, false) => self.tick_loop::<S, C, K, true, false>(store, contact, capture),
+            (true, true) => self.tick_loop::<S, C, K, true, true>(store, contact, capture),
+        }
+    }
+
+    /// The serial per-tick loop.  `FAULTS` and `ADVERSARY` mirror
+    /// `self.faults.is_some()` and `self.adversary.is_some()`;
+    /// [`Self::run_serial`] is the only caller and keeps them in sync.
+    fn tick_loop<S, C, K, const FAULTS: bool, const ADVERSARY: bool>(
+        &mut self,
+        store: &mut S,
+        contact: &mut C,
+        capture: &mut K,
+    ) -> Result<(f64, u64, StopReason)>
+    where
+        S: Storage,
+        C: Contact<S>,
+        K: FnMut(&Self, &S, f64, u64) -> Result<()>,
+    {
+        let deadline = self.config.wall_clock_deadline.map(|d| (Instant::now(), d));
+        let cadence = self.config.checkpoint_every_ticks;
+        let mut ticks = 0u64;
+        loop {
+            if ticks >= self.config.max_events {
+                return Err(SimError::EventBudgetExhausted { events: ticks });
+            }
+            let event = self.sampler.next_tick();
+            ticks = event.global_tick_count;
+            let ctx = EdgeTickContext {
+                graph: self.graph,
+                edge: self.edges[event.edge.index()],
+                edge_id: event.edge,
+                time: event.time,
+                edge_tick_count: event.edge_tick_count,
+                global_tick_count: ticks,
+            };
+            // Fault classification happens before the update: a suppressed
+            // contact skips it atomically (never half-applied), leaving the
+            // moment tracker untouched, while the clock and time still
+            // advance — a down link loses messages, it does not slow the
+            // network.
+            if !FAULTS || self.delivered(ctx.edge_id, ctx.edge, ticks) {
+                let (u, v) = contact.endpoints(&ctx);
+                // Adversary classification runs only on delivered contacts (a
+                // dropped message cannot be falsified), and before the
+                // update, so honest-subset mass accounting is exact.
+                let action = if ADVERSARY {
+                    self.adversary
+                        .as_mut()
+                        .expect("ADVERSARY is only instantiated with an injector present")
+                        .classify(ctx.edge_id, ctx.edge, ticks, store.get(u), store.get(v))
+                } else {
+                    AdversaryAction::Honest
+                };
+                match action {
+                    AdversaryAction::Honest => contact.apply(store, u, v, &ctx),
+                    AdversaryAction::Censored => {}
+                    AdversaryAction::Falsified(falsified) => {
+                        // Substitute the reports, run the update, then
+                        // restore the frozen-state endpoints — literal
+                        // `set`s, so the tracker sees the same
+                        // `record_update` sequence in every layout.
+                        let (before_u, before_v) = (store.get(u), store.get(v));
+                        if let Some(report) = falsified.u {
+                            store.set(u, report.value);
+                        }
+                        if let Some(report) = falsified.v {
+                            store.set(v, report.value);
+                        }
+                        contact.apply(store, u, v, &ctx);
+                        if falsified.u.is_some_and(|r| r.restore) {
+                            store.set(u, before_u);
+                        }
+                        if falsified.v.is_some_and(|r| r.restore) {
+                            store.set(v, before_v);
+                        }
+                    }
+                }
+            }
+            contact.observe(store, ctx.time, ticks);
+
+            let check_due = ticks.is_multiple_of(self.config.check_every_ticks);
+            if let Some(reason) = self.tail(store, ctx.time, ticks, check_due)? {
+                return Ok((ctx.time, ticks, reason));
+            }
+            if let Some((started, budget)) = deadline {
+                if ticks.is_multiple_of(DEADLINE_CHECK_TICKS) && started.elapsed() >= budget {
+                    return Err(SimError::DeadlineExceeded { ticks });
+                }
+            }
+            // Capture after the tick's update, refresh, and stopping check
+            // so a restored run re-enters the loop exactly at the next
+            // event; capture reads state only (no RNG draws), keeping the
+            // run bit-identical to a non-checkpointing one.
+            if cadence != 0 && ticks.is_multiple_of(cadence) {
+                capture(self, store, ctx.time, ticks)?;
+            }
+        }
+    }
+
+    /// The refresh / salvage / recentre / stop / settling block shared by
+    /// every engine: the serial loop runs it after each tick, the sharded
+    /// engine after each batch.  Refreshes the moments on the deterministic
+    /// schedule; when `check_due`, reads the variance and evaluates the
+    /// stopping rule, returning the reason when it fires.
+    #[inline(always)]
+    pub(crate) fn tail<M: Moments>(
+        &mut self,
+        store: &mut M,
+        time: f64,
+        ticks: u64,
+        check_due: bool,
+    ) -> Result<Option<StopReason>> {
+        let incremental = self.config.variance_mode == VarianceMode::Incremental;
+        if incremental && ticks.is_multiple_of(self.config.moment_refresh_every_ticks) {
+            self.refresh(store);
+            if !store.tracker().is_finite() {
+                // A freshly rebuilt tracker is still non-finite: either a
+                // node value is genuinely NaN/∞ (error out with the node
+                // index) or finite values have squared deviations beyond
+                // f64 range; the latter keeps running with an infinite
+                // variance, which can never read as "converged".
+                store.check_finite()?;
+                self.moments_overflowed = true;
+            }
+        }
+        if !check_due {
+            return Ok(None);
+        }
+        let variance = if incremental {
+            if store.tracker().is_finite() {
+                self.moments_overflowed = false;
+                if store.tracker().needs_recenter() {
+                    // A handler re-baselined the state through `set`
+                    // (pairwise updates conserve the sum, so this never
+                    // fires for the paper's algorithms): re-centre
+                    // immediately rather than letting cancellation around
+                    // the stale shift masquerade as convergence until the
+                    // next scheduled refresh.
+                    self.refresh(store);
+                }
+            } else if !self.moments_overflowed {
+                // A poisoned running sum means a genuinely non-finite node
+                // value (surface it with the node index), a transient that
+                // has since been overwritten (NaN is sticky in the tracker),
+                // or finite values whose squared deviations overflow f64;
+                // the exact refresh tells them apart.  The overflow flag
+                // makes the salvage run once per episode, keeping the hot
+                // path O(1) instead of retrying two O(n) passes per check.
+                store.check_finite()?;
+                self.refresh(store);
+                self.moments_overflowed = !store.tracker().is_finite();
+            }
+            store.tracker().variance()
+        } else {
+            store.check_finite()?;
+            crate::flat::exact_variance(store.parts().0)
+        };
+        let reason = self.evaluate(time, ticks, variance);
+        if reason.is_some() && self.moments_overflowed {
+            // The overflow flag suppressed per-check finiteness scans; make
+            // the terminal state honor `run`'s error contract (a NaN/∞
+            // introduced after the overflow must still surface, not leak
+            // into the outcome).
+            store.check_finite()?;
+        }
+        Ok(reason)
+    }
+
+    /// Rebuilds the tracker with an exact O(n) pass and counts it.
+    fn refresh<M: Moments>(&mut self, store: &mut M) {
+        let (values, tracker) = store.parts();
+        tracker.refresh(values);
+        self.moment_refreshes += 1;
+    }
+
+    /// The sharded engine (see [`SimulationConfig::shards`]): events are
+    /// drawn and fault-classified serially in tick order — keeping both the
+    /// clock and drop RNG streams identical to the serial loop's — then the
+    /// delivered events of each batch are applied in conflict-free wavefront
+    /// rounds fanned out over up to `shards` lanes with a deterministic
+    /// merge order ([`crate::shard`]).  Adversary-involved contacts flush
+    /// the pending parallel batch and run serially against the
+    /// fully-applied state, so classification reads and falsified updates
+    /// are shard-count-invariant.  The shared [`Self::tail`] runs at
+    /// **batch** granularity (batches are cut at exact moment-refresh
+    /// boundaries and the event cap); every decision depends only on the
+    /// event sequence, so the run is bit-identical for every shard count.
+    fn run_sharded(
+        &mut self,
+        values: &mut NodeValues,
+        kernel: PairwiseKernel,
+        shards: usize,
+    ) -> Result<(f64, u64, StopReason)> {
+        let executor = gossip_exec::Executor::new(shards);
+        let mut store = Lanes {
+            values: SharedValues::from_values(values),
+            tracker: *values.moments(),
+            wide: Vec::new(),
+        };
+        let mut planner = BatchPlanner::new(values.len());
+        let deadline = self.config.wall_clock_deadline.map(|d| (Instant::now(), d));
+        let mut time = 0.0_f64;
+        let mut ticks = 0_u64;
+        let stopped = loop {
+            if ticks >= self.config.max_events {
+                break Err(SimError::EventBudgetExhausted { events: ticks });
+            }
+            // Batch granularity is coarse enough that one `Instant::now`
+            // per iteration is free.
+            if deadline.is_some_and(|(started, budget)| started.elapsed() >= budget) {
+                break Err(SimError::DeadlineExceeded { ticks });
+            }
+            // Cut the batch at the next exact-refresh boundary and the event
+            // cap, so refreshes land on the exact same ticks as in a run
+            // with any other shard count.
+            let refresh_every = self.config.moment_refresh_every_ticks;
+            let batch = BATCH_TICKS
+                .min(refresh_every - ticks % refresh_every)
+                .min(self.config.max_events - ticks);
+            planner.clear();
+            for _ in 0..batch {
+                let event = self.sampler.next_tick();
+                time = event.time;
+                let edge = self.edges[event.edge.index()];
+                if !self.delivered(event.edge, edge, event.global_tick_count) {
+                    continue;
+                }
+                let (u, v) = edge.endpoints();
+                let (u, v) = (u.index(), v.index());
+                let adversarial = match self.adversary.as_mut() {
+                    Some(injector) if injector.touches(event.edge, edge) => true,
+                    Some(injector) => {
+                        injector.note_honest();
+                        false
+                    }
+                    None => false,
+                };
+                if !adversarial {
+                    planner.push(u, v);
+                    continue;
+                }
+                // Adversary-involved contact: flush the pending parallel
+                // batch first, so the classification (which may read the
+                // endpoints' values) and the serial application below both
+                // observe the fully-applied state.  Every flush point and
+                // every value read depends only on the event sequence, so
+                // the run stays bit-identical for every shard count.
+                let shift = store.tracker.shift();
+                let (d_sum, d_sum_sq) = planner.apply(&executor, &store.values, kernel, shift);
+                store.tracker.apply_delta(d_sum, d_sum_sq);
+                planner.clear();
+                let (value_u, value_v) = (store.values.get(u), store.values.get(v));
+                let action = self
+                    .adversary
+                    .as_mut()
+                    .expect("adversarial contacts only arise with an injector present")
+                    .classify(event.edge, edge, event.global_tick_count, value_u, value_v);
+                match action {
+                    AdversaryAction::Honest => planner.push(u, v),
+                    AdversaryAction::Censored => {}
+                    AdversaryAction::Falsified(contact) => {
+                        // Substitute-run-restore collapsed to its net effect,
+                        // applied with the same kernel and the same per-entry
+                        // moment arithmetic as a parallel lane.
+                        let (out_u, out_v) = kernel(
+                            contact.u.map_or(value_u, |r| r.value),
+                            contact.v.map_or(value_v, |r| r.value),
+                        );
+                        let new_u = contact.u.filter(|r| r.restore).map_or(out_u, |_| value_u);
+                        let new_v = contact.v.filter(|r| r.restore).map_or(out_v, |_| value_v);
+                        store.values.set(u, new_u);
+                        store.values.set(v, new_v);
+                        let shift = store.tracker.shift();
+                        let (mut d_sum, mut d_sum_sq) = (0.0, 0.0);
+                        for (old, new) in [(value_u, new_u), (value_v, new_v)] {
+                            let (delta, delta_sq) = shifted_delta(old, new, shift);
+                            d_sum += delta;
+                            d_sum_sq += delta_sq;
+                        }
+                        store.tracker.apply_delta(d_sum, d_sum_sq);
+                    }
+                }
+            }
+            ticks += batch;
+            let shift = store.tracker.shift();
+            let (d_sum, d_sum_sq) = planner.apply(&executor, &store.values, kernel, shift);
+            store.tracker.apply_delta(d_sum, d_sum_sq);
+            if let Some(stop) = self.tail(&mut store, time, ticks, true).transpose() {
+                break stop.map(|reason| (time, ticks, reason));
+            }
+        };
+        // Install the evolved state back into `values` however the loop
+        // ended, so `values()` observes it just as it would after the
+        // serial loop.
+        values.overwrite_from_slice(store.parts().0);
+        stopped
+    }
+
+    /// Snapshots the full resumable state at a checkpoint boundary.  Pure
+    /// read: no RNG stream advances, so capture never perturbs the run.
+    fn capture_checkpoint(&self, values: &NodeValues, time: f64, ticks: u64) -> EngineCheckpoint {
+        EngineCheckpoint {
+            ticks,
+            time,
+            seed: self.config.seed,
+            clock_model: self.config.clock_model,
+            node_count: self.graph.node_count(),
+            edge_count: self.edges.len(),
+            values: values.as_slice().to_vec(),
+            moments: values.moments().to_raw_parts(),
+            initial_variance: self.initial_variance,
+            last_settle: self.last_settle,
+            moment_refreshes: self.moment_refreshes,
+            moments_overflowed: self.moments_overflowed,
+            sampler: match &self.sampler {
+                Sampler::Queue(queue) => SamplerState::Queue(queue.checkpoint_state()),
+                Sampler::Global(global) => SamplerState::Global(global.checkpoint_state()),
+            },
+            faults: self.faults.as_ref().map(|i| i.checkpoint_state()),
+            adversary: self.adversary.as_ref().map(|i| i.checkpoint_state()),
         }
     }
 }
@@ -375,27 +985,9 @@ impl Sampler {
 ///
 /// See the crate-level documentation for an end-to-end example.
 pub struct AsyncSimulator<'g, H> {
-    graph: &'g Graph,
-    /// Prevalidated edge table: the samplers only emit identifiers below the
-    /// edge count they were constructed with, so the hot loop indexes this
-    /// slice directly instead of going through the `Result`-returning
-    /// [`Graph::edge`] lookup on every tick.
-    edges: &'g [Edge],
+    engine: Engine<'g>,
     values: NodeValues,
     handler: H,
-    config: SimulationConfig,
-    sampler: Sampler,
-    initial_variance: f64,
-    last_settle: f64,
-    moment_refreshes: u64,
-    /// Set when an exact refresh left the tracker non-finite even though
-    /// every node value is finite (squared deviations beyond f64 range);
-    /// suppresses repeated O(n) salvage attempts until the tracker recovers.
-    moments_overflowed: bool,
-    /// Compiled fault plan, if one was configured.
-    faults: Option<FaultInjector>,
-    /// Compiled adversary plan, if one was configured.
-    adversary: Option<AdversaryInjector>,
     /// Set by [`Self::restore`]: the next `run` call continues a checkpointed
     /// run, so the pre-event stopping check (and its settling note, both
     /// already performed by the original run at tick 0) must be skipped to
@@ -409,8 +1001,9 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
     /// # Errors
     ///
     /// Returns [`SimError::StateSizeMismatch`] if `initial` does not have one
-    /// value per node, [`SimError::NoEdges`] for an edgeless graph, and
-    /// [`SimError::NonFiniteValue`] for non-finite initial values.
+    /// value per node, [`SimError::NoEdges`] for an edgeless graph,
+    /// [`SimError::NonFiniteValue`] for non-finite initial values, and
+    /// [`SimError::InvalidConfig`] for a zero check or refresh cadence.
     pub fn new(
         graph: &'g Graph,
         initial: NodeValues,
@@ -449,40 +1042,12 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
             });
         }
         initial.check_finite()?;
-        let faults = match &config.fault_plan {
-            Some(plan) => Some(FaultInjector::new(plan, graph)?),
-            None => None,
-        };
-        let adversary = match &config.adversary_plan {
-            Some(plan) => Some(AdversaryInjector::new(plan, graph)?),
-            None => None,
-        };
-        let sampler = match config.clock_model {
-            ClockModel::PerEdgeQueue => Sampler::Queue(EdgeClockQueue::new_with_scratch(
-                graph,
-                config.seed,
-                scratch,
-            )?),
-            ClockModel::GlobalUniform => Sampler::Global(GlobalTickProcess::new_with_scratch(
-                graph,
-                config.seed,
-                scratch,
-            )?),
-        };
-        let initial_variance = initial.variance();
         Ok(AsyncSimulator {
-            graph,
-            edges: graph.edges(),
+            engine: Engine::new(graph, config, initial.variance(), |config| {
+                Sampler::new(graph, config, scratch)
+            })?,
             values: initial,
             handler,
-            config,
-            sampler,
-            initial_variance,
-            last_settle: 0.0,
-            moment_refreshes: 0,
-            moments_overflowed: false,
-            faults,
-            adversary,
             resumed: false,
         })
     }
@@ -504,116 +1069,88 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
     /// Returns [`SimError::CheckpointInvalid`] when the checkpoint does not
     /// match `config`/`graph` (seed, clock model, node/edge counts, or
     /// fault/adversary plan presence), and [`SimError::InvalidConfig`] for
-    /// configurations checkpointing does not support (tracing, sharding).
+    /// configurations checkpointing does not support (tracing, sharding) or
+    /// a zero check or refresh cadence.
     pub fn restore(
         graph: &'g Graph,
         handler: H,
         config: SimulationConfig,
         checkpoint: &EngineCheckpoint,
     ) -> Result<Self> {
-        if config.trace.is_some() {
-            return Err(SimError::InvalidConfig {
-                reason: "checkpoint restore does not support trace recording".into(),
-            });
+        for (unsupported, what) in [
+            (config.trace.is_some(), "trace recording"),
+            (config.shards.is_some(), "the sharded engine"),
+        ] {
+            if unsupported {
+                return Err(SimError::InvalidConfig {
+                    reason: format!("checkpoint restore does not support {what}"),
+                });
+            }
         }
-        if config.shards.is_some() {
-            return Err(SimError::InvalidConfig {
-                reason: "checkpoint restore does not support the sharded engine".into(),
-            });
-        }
-        if checkpoint.seed != config.seed {
-            return Err(SimError::CheckpointInvalid {
-                reason: format!(
-                    "checkpoint was captured with seed {} but the run is configured with seed {}",
-                    checkpoint.seed, config.seed
-                ),
-            });
-        }
-        if checkpoint.clock_model != config.clock_model {
-            return Err(SimError::CheckpointInvalid {
-                reason: format!(
-                    "checkpoint clock model {:?} does not match configured {:?}",
-                    checkpoint.clock_model, config.clock_model
-                ),
-            });
-        }
-        if checkpoint.node_count != graph.node_count()
+        let mismatch = if checkpoint.seed != config.seed {
+            format!(
+                "checkpoint was captured with seed {} but the run is configured with seed {}",
+                checkpoint.seed, config.seed
+            )
+        } else if checkpoint.clock_model != config.clock_model {
+            format!(
+                "checkpoint clock model {:?} does not match configured {:?}",
+                checkpoint.clock_model, config.clock_model
+            )
+        } else if checkpoint.node_count != graph.node_count()
             || checkpoint.edge_count != graph.edge_count()
         {
-            return Err(SimError::CheckpointInvalid {
-                reason: format!(
-                    "checkpoint graph shape ({} nodes, {} edges) does not match ({} nodes, {} edges)",
-                    checkpoint.node_count,
-                    checkpoint.edge_count,
-                    graph.node_count(),
-                    graph.edge_count()
-                ),
-            });
-        }
-        if checkpoint.values.len() != graph.node_count() {
-            return Err(SimError::CheckpointInvalid {
-                reason: format!(
-                    "checkpoint holds {} values for a {}-node graph",
-                    checkpoint.values.len(),
-                    graph.node_count()
-                ),
-            });
-        }
-        if checkpoint.faults.is_some() != config.fault_plan.is_some() {
-            return Err(SimError::CheckpointInvalid {
-                reason: "checkpoint and configuration disagree on whether a fault plan is active"
-                    .into(),
-            });
-        }
-        if checkpoint.adversary.is_some() != config.adversary_plan.is_some() {
-            return Err(SimError::CheckpointInvalid {
-                reason:
-                    "checkpoint and configuration disagree on whether an adversary plan is active"
-                        .into(),
-            });
+            format!(
+                "checkpoint graph shape ({} nodes, {} edges) does not match ({} nodes, {} edges)",
+                checkpoint.node_count,
+                checkpoint.edge_count,
+                graph.node_count(),
+                graph.edge_count()
+            )
+        } else if checkpoint.values.len() != graph.node_count() {
+            format!(
+                "checkpoint holds {} values for a {}-node graph",
+                checkpoint.values.len(),
+                graph.node_count()
+            )
+        } else if checkpoint.faults.is_some() != config.fault_plan.is_some() {
+            "checkpoint and configuration disagree on whether a fault plan is active".into()
+        } else if checkpoint.adversary.is_some() != config.adversary_plan.is_some() {
+            "checkpoint and configuration disagree on whether an adversary plan is active".into()
+        } else {
+            String::new()
+        };
+        if !mismatch.is_empty() {
+            return Err(SimError::CheckpointInvalid { reason: mismatch });
         }
         // Recompile the pure parts (window indexes, behavior tables) from
         // the plans, then reinstall the evolved stream positions, counters,
         // and histories on top.
-        let mut faults = match &config.fault_plan {
-            Some(plan) => Some(FaultInjector::new(plan, graph)?),
-            None => None,
-        };
-        if let (Some(injector), Some(state)) = (faults.as_mut(), checkpoint.faults.as_ref()) {
+        let mut engine = Engine::new(graph, config, checkpoint.initial_variance, |config| {
+            Ok(match &checkpoint.sampler {
+                SamplerState::Queue(state) => {
+                    Sampler::Queue(EdgeClockQueue::restore_state(config.seed, state))
+                }
+                SamplerState::Global(state) => {
+                    Sampler::Global(GlobalTickProcess::restore_state(config.seed, state))
+                }
+            })
+        })?;
+        if let (Some(injector), Some(state)) = (engine.faults.as_mut(), &checkpoint.faults) {
             injector.restore_state(state);
         }
-        let mut adversary = match &config.adversary_plan {
-            Some(plan) => Some(AdversaryInjector::new(plan, graph)?),
-            None => None,
-        };
-        if let (Some(injector), Some(state)) = (adversary.as_mut(), checkpoint.adversary.as_ref()) {
+        if let (Some(injector), Some(state)) = (engine.adversary.as_mut(), &checkpoint.adversary) {
             injector.restore_state(state);
         }
-        let sampler = match &checkpoint.sampler {
-            SamplerState::Queue(state) => {
-                Sampler::Queue(EdgeClockQueue::restore_state(config.seed, state))
-            }
-            SamplerState::Global(state) => {
-                Sampler::Global(GlobalTickProcess::restore_state(config.seed, state))
-            }
-        };
+        engine.last_settle = checkpoint.last_settle;
+        engine.moment_refreshes = checkpoint.moment_refreshes;
+        engine.moments_overflowed = checkpoint.moments_overflowed;
         let (len, shift, sum, sum_sq, refreshes) = checkpoint.moments;
-        let moments =
-            crate::moments::MomentTracker::from_raw_parts(len, shift, sum, sum_sq, refreshes);
-        let values = NodeValues::from_parts(Vector::from(checkpoint.values.clone()), moments);
+        let moments = MomentTracker::from_raw_parts(len, shift, sum, sum_sq, refreshes);
         Ok(AsyncSimulator {
-            graph,
-            edges: graph.edges(),
-            values,
+            engine,
+            values: NodeValues::from_parts(Vector::from(checkpoint.values.clone()), moments),
             handler,
-            config,
-            sampler,
-            initial_variance: checkpoint.initial_variance,
-            last_settle: checkpoint.last_settle,
-            moment_refreshes: checkpoint.moment_refreshes,
-            moments_overflowed: checkpoint.moments_overflowed,
-            faults,
-            adversary,
             resumed: true,
         })
     }
@@ -625,7 +1162,7 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
 
     /// The graph being simulated.
     pub fn graph(&self) -> &Graph {
-        self.graph
+        self.engine.graph
     }
 
     /// Borrows the handler (useful for instrumented handlers that accumulate
@@ -644,7 +1181,7 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
     /// buffers to `scratch` so the next [`Self::new_with_scratch`] can reuse
     /// them.
     pub fn into_parts_with_scratch(self, scratch: &mut ClockScratch) -> (H, NodeValues) {
-        match self.sampler {
+        match self.engine.sampler {
             Sampler::Queue(queue) => queue.reclaim_scratch(scratch),
             Sampler::Global(global) => global.reclaim_scratch(scratch),
         }
@@ -659,25 +1196,18 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
     /// [`Self::run`] returns an error, so estimators can censor runs that
     /// exhaust the event budget instead of discarding them.
     pub fn settling_time(&self) -> f64 {
-        self.last_settle
-    }
-
-    fn note_settling(&mut self, status: &SimulationStatus) {
-        if let Some(threshold) = self.config.settling_threshold {
-            if status.variance_ratio() >= threshold {
-                self.last_settle = status.time;
-            }
-        }
+        self.engine.last_settle
     }
 
     /// Runs until the stopping rule fires.
     ///
-    /// The per-tick loop is monomorphized over whether faults and tracing
-    /// are configured: the common fault-free, trace-free path carries no
-    /// `Option` branches for either concern, and each variant is compiled
-    /// separately (see [`Self::run_loop`]).  The trace configuration and
-    /// partition are **taken** out of the config by the first call (they are
-    /// consumed by the recorder), not cloned on every call.
+    /// Every path but the sharded engine runs the one serial per-tick loop,
+    /// compiled once per contact kind (handler, traced handler, or pairwise
+    /// kernel) and per fault/adversary combination, so the common path
+    /// carries no `Option` branch for a concern that is not configured.  The
+    /// trace configuration and partition are **taken** out of the config by
+    /// the first call (they are consumed by the recorder), not cloned on
+    /// every call.
     ///
     /// # Errors
     ///
@@ -694,9 +1224,9 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
     /// touching any RNG stream, so the run itself is bit-identical to
     /// [`Self::run`]'s; a `sink` error aborts the run and is returned as-is.
     ///
-    /// Capture is supported by the serial loops (legacy and
-    /// [`MemoryLayout::FlatSoA`]); a non-zero cadence on a traced or sharded
-    /// run is rejected with [`SimError::InvalidConfig`] rather than silently
+    /// Capture is supported by the serial per-tick loop in both
+    /// [`MemoryLayout`]s; a non-zero cadence on a traced or sharded run is
+    /// rejected with [`SimError::InvalidConfig`] rather than silently
     /// producing no checkpoints.
     ///
     /// # Errors
@@ -706,713 +1236,93 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
         &mut self,
         sink: &mut dyn FnMut(EngineCheckpoint) -> Result<()>,
     ) -> Result<SimulationOutcome> {
-        if self.config.checkpoint_every_ticks > 0 && self.config.trace.is_some() {
+        let config = &mut self.engine.config;
+        let capturing = config.checkpoint_every_ticks > 0;
+        if capturing && config.trace.is_some() {
             return Err(SimError::InvalidConfig {
                 reason: "checkpoint capture does not support trace recording".into(),
             });
         }
-        let mut recorder = self
-            .config
+        let mut recorder = config
             .trace
             .take()
-            .map(|cfg| TraceRecorder::new(cfg, self.config.partition.take()));
-
-        // A run may be asked to stop before any event (e.g. zero initial
-        // variance).  A restored run skips this: the original run performed
-        // the tick-0 check before the first checkpoint was ever captured.
-        if !self.resumed {
-            let initial_status = SimulationStatus {
-                time: 0.0,
-                ticks: 0,
-                variance: self.initial_variance,
-                initial_variance: self.initial_variance,
-            };
-            self.note_settling(&initial_status);
-            if let Some(reason) = self.config.stopping_rule.evaluate(&initial_status) {
-                return Ok(self.finish(0.0, 0, reason, recorder));
-            }
-        }
-
-        if let Some(shards) = self.config.shards {
-            // Sharding needs a pure pairwise kernel, the incremental moment
-            // tracker, and no trace; anything else falls through to the
-            // legacy loop below (`shards` is then ignored, not an error).
-            if recorder.is_none()
-                && self.config.variance_mode == VarianceMode::Incremental
-                && self.handler.pairwise_kernel().is_some()
-            {
-                if self.config.checkpoint_every_ticks > 0 {
+            .map(|cfg| TraceRecorder::new(cfg, config.partition.take()));
+        // Sharding and the flat layout need a pure pairwise kernel, the
+        // incremental moment tracker, and no trace; anything else runs the
+        // handler (`shards` and the layout are then ignored, not an error).
+        // The packed topology holds every endpoint pair in one u64 in
+        // edge-id order — the order the samplers draw — so the flat loop
+        // touches 8 contiguous bytes per tick instead of a 3-word `Edge`.
+        let kernel = self.handler.pairwise_kernel().filter(|_| {
+            recorder.is_none() && self.engine.config.variance_mode == VarianceMode::Incremental
+        });
+        let topology = kernel
+            .filter(|_| self.engine.config.memory_layout == MemoryLayout::FlatSoA)
+            .and_then(|_| FlatTopology::new(self.engine.graph));
+        let mut capture = |engine: &Engine<'g>, values: &NodeValues, time, ticks| {
+            sink(engine.capture_checkpoint(values, time, ticks))
+        };
+        // A restored run skips the pre-event check: the original run
+        // performed it before the first checkpoint was ever captured.
+        let initial = (!self.resumed)
+            .then(|| self.engine.evaluate(0.0, 0, self.engine.initial_variance))
+            .flatten();
+        let stopped = match (initial, kernel, self.engine.config.shards, topology) {
+            (Some(reason), ..) => Ok((0.0, 0, reason)),
+            (None, Some(kernel), Some(shards), _) => {
+                if capturing {
                     return Err(SimError::InvalidConfig {
                         reason: "checkpoint capture does not support the sharded engine".into(),
                     });
                 }
-                let (time, ticks, reason) = self.run_sharded(shards)?;
-                return Ok(self.finish(time, ticks, reason, None));
+                self.engine.run_sharded(&mut self.values, kernel, shards)
             }
-        }
-
-        if self.config.memory_layout == MemoryLayout::FlatSoA
-            && recorder.is_none()
-            && self.config.variance_mode == VarianceMode::Incremental
-            && self.handler.pairwise_kernel().is_some()
-        {
-            // Same silent-fallback contract as sharding: an ineligible
-            // configuration (trace, exact variance, kernel-less handler, or
-            // a graph too large to pack) runs the legacy loop below.  The
-            // topology packs every endpoint pair into one u64 in edge-id
-            // order — the order the samplers draw — so the hot loop touches
-            // 8 contiguous bytes per tick instead of a 3-word `Edge`.
-            if let Some(topology) = crate::flat::FlatTopology::new(self.graph) {
-                let stopped = match (self.faults.is_some(), self.adversary.is_some()) {
-                    (false, false) => self.run_flat::<false, false>(&topology, sink),
-                    (false, true) => self.run_flat::<false, true>(&topology, sink),
-                    (true, false) => self.run_flat::<true, false>(&topology, sink),
-                    (true, true) => self.run_flat::<true, true>(&topology, sink),
-                };
-                let (time, ticks, reason) = stopped?;
-                return Ok(self.finish(time, ticks, reason, None));
-            }
-        }
-
-        let stopped = match (
-            self.faults.is_some(),
-            self.adversary.is_some(),
-            recorder.is_some(),
-        ) {
-            (false, false, false) => self.run_loop::<false, false, false>(&mut recorder, sink),
-            (false, false, true) => self.run_loop::<false, false, true>(&mut recorder, sink),
-            (false, true, false) => self.run_loop::<false, true, false>(&mut recorder, sink),
-            (false, true, true) => self.run_loop::<false, true, true>(&mut recorder, sink),
-            (true, false, false) => self.run_loop::<true, false, false>(&mut recorder, sink),
-            (true, false, true) => self.run_loop::<true, false, true>(&mut recorder, sink),
-            (true, true, false) => self.run_loop::<true, true, false>(&mut recorder, sink),
-            (true, true, true) => self.run_loop::<true, true, true>(&mut recorder, sink),
+            (None, Some(kernel), None, Some(topology)) => self.engine.run_serial(
+                &mut self.values,
+                &mut KernelContact(&topology, kernel),
+                &mut capture,
+            ),
+            _ if recorder.is_some() => self.engine.run_serial(
+                &mut self.values,
+                &mut HandlerContact::<H, true>(&mut self.handler, recorder.as_mut()),
+                &mut capture,
+            ),
+            _ => self.engine.run_serial(
+                &mut self.values,
+                &mut HandlerContact::<H, false>(&mut self.handler, None),
+                &mut capture,
+            ),
         };
-        let (time, ticks, reason) = match stopped {
-            Ok(stopped) => stopped,
-            Err(error) => {
-                // Hand the moved-in trace configuration and partition back
-                // so a later `run` on this simulator still traces.
-                if let Some(rec) = recorder {
-                    let (_, cfg, partition) = rec.finish_with_parts();
-                    self.config.trace = Some(cfg);
-                    self.config.partition = partition;
-                }
-                return Err(error);
-            }
-        };
-        Ok(self.finish(time, ticks, reason, recorder))
-    }
-
-    /// The per-tick loop, compiled once per `(FAULTS, ADVERSARY, TRACE)`
-    /// combination so the fault-free path has no injector branch, the
-    /// honest path no adversary classification, and the untraced path no
-    /// recorder check.  The const parameters mirror `self.faults.is_some()`,
-    /// `self.adversary.is_some()`, and `recorder.is_some()` — [`Self::run`]
-    /// is the only caller and keeps them in sync.
-    fn run_loop<const FAULTS: bool, const ADVERSARY: bool, const TRACE: bool>(
-        &mut self,
-        recorder: &mut Option<TraceRecorder>,
-        sink: &mut dyn FnMut(EngineCheckpoint) -> Result<()>,
-    ) -> Result<(f64, u64, StopReason)> {
-        let deadline = self.config.wall_clock_deadline.map(|d| (Instant::now(), d));
-        let cadence = self.config.checkpoint_every_ticks;
-        let mut ticks = 0u64;
-        let mut time;
-        loop {
-            if ticks >= self.config.max_events {
-                return Err(SimError::EventBudgetExhausted { events: ticks });
-            }
-            let event = self.sampler.next_tick();
-            ticks = event.global_tick_count;
-            time = event.time;
-            let edge = self.edges[event.edge.index()];
-            let ctx = EdgeTickContext {
-                graph: self.graph,
-                edge,
-                edge_id: event.edge,
-                time,
-                edge_tick_count: event.edge_tick_count,
-                global_tick_count: event.global_tick_count,
-            };
-            // Fault classification happens before the handler runs: a
-            // suppressed contact skips the pairwise update atomically (never
-            // half-applied), leaving the moment tracker untouched, while the
-            // clock and time still advance — a down link loses messages, it
-            // does not slow the network.
-            let delivered = if FAULTS {
-                let injector = self
-                    .faults
-                    .as_mut()
-                    .expect("FAULTS is only instantiated with an injector present");
-                injector.classify(event.edge, edge, event.global_tick_count)
-                    == ContactFate::Delivered
-            } else {
-                true
-            };
-            if ADVERSARY {
-                // Adversary classification runs only on fault-delivered
-                // contacts (a dropped message cannot be falsified), and
-                // before the pairwise update, so honest-subset mass
-                // accounting is exact: a censored contact skips the handler
-                // atomically, and a falsified contact substitutes the
-                // adversary's report into the state for the duration of the
-                // handler call, restoring frozen-state behaviors afterwards.
-                if delivered {
-                    let (u, v) = edge.endpoints();
-                    let injector = self
-                        .adversary
-                        .as_mut()
-                        .expect("ADVERSARY is only instantiated with an injector present");
-                    let action = injector.classify(
-                        event.edge,
-                        edge,
-                        event.global_tick_count,
-                        self.values.get(u),
-                        self.values.get(v),
-                    );
-                    match action {
-                        AdversaryAction::Honest => {
-                            self.handler.on_edge_tick(&mut self.values, &ctx);
-                        }
-                        AdversaryAction::Censored => {}
-                        AdversaryAction::Falsified(contact) => {
-                            let before_u = self.values.get(u);
-                            let before_v = self.values.get(v);
-                            if let Some(report) = contact.u {
-                                self.values.set(u, report.value);
-                            }
-                            if let Some(report) = contact.v {
-                                self.values.set(v, report.value);
-                            }
-                            self.handler.on_edge_tick(&mut self.values, &ctx);
-                            if contact.u.is_some_and(|r| r.restore) {
-                                self.values.set(u, before_u);
-                            }
-                            if contact.v.is_some_and(|r| r.restore) {
-                                self.values.set(v, before_v);
-                            }
-                        }
-                    }
-                }
-            } else if delivered {
-                self.handler.on_edge_tick(&mut self.values, &ctx);
-            }
-
-            if TRACE {
-                recorder
-                    .as_mut()
-                    .expect("TRACE is only instantiated with a recorder present")
-                    .record(time, ticks, &self.values, false);
-            }
-
-            if self.config.variance_mode == VarianceMode::Incremental
-                && ticks.is_multiple_of(self.config.moment_refresh_every_ticks)
-            {
-                self.values.refresh_moments();
-                self.moment_refreshes += 1;
-                if !self.values.moments_finite() {
-                    // A freshly rebuilt tracker is still non-finite: either a
-                    // node value is genuinely NaN/∞ (error out with the node
-                    // index) or finite values have squared deviations beyond
-                    // f64 range; the latter keeps running with an infinite
-                    // variance, which can never read as "converged".
-                    self.values.check_finite()?;
-                    self.moments_overflowed = true;
-                }
-            }
-
-            if ticks.is_multiple_of(self.config.check_every_ticks) {
-                let variance = match self.config.variance_mode {
-                    VarianceMode::Incremental => {
-                        if self.values.moments_finite() {
-                            self.moments_overflowed = false;
-                            if self.values.moments_need_recenter() {
-                                // A handler re-baselined the state through
-                                // `set` (pairwise updates conserve the sum,
-                                // so this never fires for the paper's
-                                // algorithms): re-centre immediately rather
-                                // than letting cancellation around the stale
-                                // shift masquerade as convergence until the
-                                // next scheduled refresh.
-                                self.values.refresh_moments();
-                                self.moment_refreshes += 1;
-                            }
-                        } else if !self.moments_overflowed {
-                            // A poisoned running sum means a genuinely
-                            // non-finite node value (surface it with the node
-                            // index), a transient that has since been
-                            // overwritten (NaN is sticky in the tracker), or
-                            // finite values whose squared deviations overflow
-                            // f64; the exact refresh tells them apart.  The
-                            // overflow flag makes the salvage run once per
-                            // episode, keeping the hot path O(1) instead of
-                            // retrying two O(n) passes at every check.
-                            self.values.check_finite()?;
-                            self.values.refresh_moments();
-                            self.moment_refreshes += 1;
-                            if !self.values.moments_finite() {
-                                self.moments_overflowed = true;
-                            }
-                        }
-                        self.values.incremental_variance()
-                    }
-                    VarianceMode::ExactEveryCheck => {
-                        self.values.check_finite()?;
-                        self.values.variance()
-                    }
-                };
-                let status = SimulationStatus {
-                    time,
-                    ticks,
-                    variance,
-                    initial_variance: self.initial_variance,
-                };
-                self.note_settling(&status);
-                if let Some(reason) = self.config.stopping_rule.evaluate(&status) {
-                    if self.moments_overflowed {
-                        // The overflow flag suppressed per-check finiteness
-                        // scans; make the terminal state honor `run`'s error
-                        // contract (a NaN/∞ introduced after the overflow
-                        // must still surface, not leak into the outcome).
-                        self.values.check_finite()?;
-                    }
-                    return Ok((time, ticks, reason));
-                }
-            }
-
-            if let Some((started, budget)) = deadline {
-                if ticks.is_multiple_of(DEADLINE_CHECK_TICKS) && started.elapsed() >= budget {
-                    return Err(SimError::DeadlineExceeded { ticks });
-                }
-            }
-
-            // Capture after the tick's update, refresh, and stopping check
-            // so a restored run re-enters the loop exactly at the next
-            // event; capture reads state only (no RNG draws), keeping the
-            // run bit-identical to a non-checkpointing one.
-            if cadence != 0 && ticks.is_multiple_of(cadence) {
-                sink(self.capture_checkpoint(time, ticks))?;
-            }
-        }
-    }
-
-    /// The flat struct-of-arrays loop (see [`MemoryLayout::FlatSoA`]):
-    /// operation-for-operation the same run as [`Self::run_loop`] — every
-    /// tick draws the same event, classifies faults and adversaries with the
-    /// same injector calls, applies the same kernel to the same operands,
-    /// and mirrors every value write into the moment tracker with the exact
-    /// `record_update` sequence [`NodeValues::set`] would have made — but
-    /// endpoints come from the packed topology and values are written
-    /// through the raw slice, so the per-tick working set is 8 bytes of
-    /// topology plus two value lanes.  Bit-identity is pinned by
-    /// `tests/memscale_differential.rs`.
-    ///
-    /// Tracing is not supported (the dispatch in [`Self::run`] requires
-    /// `recorder.is_none()`), so there is no `TRACE` parameter; the variance
-    /// mode is guaranteed [`VarianceMode::Incremental`] by the same
-    /// dispatch.
-    fn run_flat<const FAULTS: bool, const ADVERSARY: bool>(
-        &mut self,
-        topology: &crate::flat::FlatTopology,
-        sink: &mut dyn FnMut(EngineCheckpoint) -> Result<()>,
-    ) -> Result<(f64, u64, StopReason)> {
-        let kernel = self
-            .handler
-            .pairwise_kernel()
-            .expect("run() only dispatches here with a kernel present");
-        let deadline = self.config.wall_clock_deadline.map(|d| (Instant::now(), d));
-        let cadence = self.config.checkpoint_every_ticks;
-        let mut ticks = 0u64;
-        let mut time;
-        loop {
-            if ticks >= self.config.max_events {
-                return Err(SimError::EventBudgetExhausted { events: ticks });
-            }
-            let event = self.sampler.next_tick();
-            ticks = event.global_tick_count;
-            time = event.time;
-            let edge_index = event.edge.index();
-            let delivered = if FAULTS {
-                let edge = self.edges[edge_index];
-                let injector = self
-                    .faults
-                    .as_mut()
-                    .expect("FAULTS is only instantiated with an injector present");
-                injector.classify(event.edge, edge, event.global_tick_count)
-                    == ContactFate::Delivered
-            } else {
-                true
-            };
-            if ADVERSARY {
-                if delivered {
-                    let edge = self.edges[edge_index];
-                    let (u, v) = topology.endpoints(edge_index);
-                    let (xs, tracker) = self.values.as_mut_parts();
-                    let xu = xs[u];
-                    let xv = xs[v];
-                    let injector = self
-                        .adversary
-                        .as_mut()
-                        .expect("ADVERSARY is only instantiated with an injector present");
-                    let action =
-                        injector.classify(event.edge, edge, event.global_tick_count, xu, xv);
-                    match action {
-                        AdversaryAction::Honest => {
-                            let (new_u, new_v) = kernel(xu, xv);
-                            xs[u] = new_u;
-                            tracker.record_update(xu, new_u);
-                            xs[v] = new_v;
-                            tracker.record_update(xv, new_v);
-                        }
-                        AdversaryAction::Censored => {}
-                        AdversaryAction::Falsified(contact) => {
-                            // The same substitute → update → restore value
-                            // and tracker sequence as the legacy loop's
-                            // literal `set` calls (six `record_update`s at
-                            // most, in the same order with the same
-                            // operands) — *not* the sharded engine's
-                            // net-effect collapse.
-                            let mut cur_u = xu;
-                            let mut cur_v = xv;
-                            if let Some(report) = contact.u {
-                                xs[u] = report.value;
-                                tracker.record_update(cur_u, report.value);
-                                cur_u = report.value;
-                            }
-                            if let Some(report) = contact.v {
-                                xs[v] = report.value;
-                                tracker.record_update(cur_v, report.value);
-                                cur_v = report.value;
-                            }
-                            let (new_u, new_v) = kernel(cur_u, cur_v);
-                            xs[u] = new_u;
-                            tracker.record_update(cur_u, new_u);
-                            xs[v] = new_v;
-                            tracker.record_update(cur_v, new_v);
-                            if contact.u.is_some_and(|r| r.restore) {
-                                xs[u] = xu;
-                                tracker.record_update(new_u, xu);
-                            }
-                            if contact.v.is_some_and(|r| r.restore) {
-                                xs[v] = xv;
-                                tracker.record_update(new_v, xv);
-                            }
-                        }
-                    }
-                }
-            } else if delivered {
-                let (u, v) = topology.endpoints(edge_index);
-                let (xs, tracker) = self.values.as_mut_parts();
-                let xu = xs[u];
-                let xv = xs[v];
-                let (new_u, new_v) = kernel(xu, xv);
-                xs[u] = new_u;
-                tracker.record_update(xu, new_u);
-                xs[v] = new_v;
-                tracker.record_update(xv, new_v);
-            }
-
-            // From here down this is the legacy loop's Incremental
-            // refresh/check logic verbatim (the dispatch guarantees the
-            // mode), so refresh ticks, salvage decisions, and stop checks
-            // land on identical ticks with identical float state.
-            if ticks.is_multiple_of(self.config.moment_refresh_every_ticks) {
-                self.values.refresh_moments();
-                self.moment_refreshes += 1;
-                if !self.values.moments_finite() {
-                    self.values.check_finite()?;
-                    self.moments_overflowed = true;
-                }
-            }
-
-            if ticks.is_multiple_of(self.config.check_every_ticks) {
-                if self.values.moments_finite() {
-                    self.moments_overflowed = false;
-                    if self.values.moments_need_recenter() {
-                        self.values.refresh_moments();
-                        self.moment_refreshes += 1;
-                    }
-                } else if !self.moments_overflowed {
-                    self.values.check_finite()?;
-                    self.values.refresh_moments();
-                    self.moment_refreshes += 1;
-                    if !self.values.moments_finite() {
-                        self.moments_overflowed = true;
-                    }
-                }
-                let status = SimulationStatus {
-                    time,
-                    ticks,
-                    variance: self.values.incremental_variance(),
-                    initial_variance: self.initial_variance,
-                };
-                self.note_settling(&status);
-                if let Some(reason) = self.config.stopping_rule.evaluate(&status) {
-                    if self.moments_overflowed {
-                        self.values.check_finite()?;
-                    }
-                    return Ok((time, ticks, reason));
-                }
-            }
-
-            if let Some((started, budget)) = deadline {
-                if ticks.is_multiple_of(DEADLINE_CHECK_TICKS) && started.elapsed() >= budget {
-                    return Err(SimError::DeadlineExceeded { ticks });
-                }
-            }
-
-            // Same capture point as the legacy loop (after update, refresh,
-            // and stopping check), so checkpoints from either layout are
-            // interchangeable.
-            if cadence != 0 && ticks.is_multiple_of(cadence) {
-                sink(self.capture_checkpoint(time, ticks))?;
-            }
-        }
-    }
-
-    /// The sharded engine (see [`SimulationConfig::shards`]): events are
-    /// drawn and fault-classified serially in tick order — keeping both the
-    /// clock and drop RNG streams identical to the legacy loop's — then the
-    /// delivered events of each batch are applied in conflict-free wavefront
-    /// rounds fanned out over up to `shards` lanes with a deterministic
-    /// merge order ([`crate::shard`]).  Adversary-involved contacts flush
-    /// the pending parallel batch and run serially against the
-    /// fully-applied state, so classification reads and falsified updates
-    /// are shard-count-invariant.  Stopping, settling, recentring, and
-    /// overflow salvage run at **batch** granularity (batches are cut at
-    /// exact moment-refresh boundaries and the event cap), mirroring the
-    /// legacy per-check logic; every decision depends only on the event
-    /// sequence, so the run is bit-identical for every shard count.
-    fn run_sharded(&mut self, shards: usize) -> Result<(f64, u64, StopReason)> {
-        let kernel = self
-            .handler
-            .pairwise_kernel()
-            .expect("run() only dispatches here with a kernel present");
-        let executor = gossip_exec::Executor::new(shards);
-        let shared = SharedValues::from_values(&self.values);
-        let mut tracker = *self.values.moments();
-        let mut planner = BatchPlanner::new(self.values.len());
-        let mut snapshot: Vec<f64> = Vec::new();
-        let refresh_every = self.config.moment_refresh_every_ticks;
-        let deadline = self.config.wall_clock_deadline.map(|d| (Instant::now(), d));
-        let mut time = 0.0_f64;
-        let mut ticks = 0_u64;
-        let stopped = loop {
-            if ticks >= self.config.max_events {
-                break Err(SimError::EventBudgetExhausted { events: ticks });
-            }
-            // Batch granularity is coarse enough that one `Instant::now`
-            // per iteration is free.
-            if let Some((started, budget)) = deadline {
-                if started.elapsed() >= budget {
-                    break Err(SimError::DeadlineExceeded { ticks });
-                }
-            }
-            // Cut the batch at the next exact-refresh boundary and the event
-            // cap, so refreshes land on the exact same ticks as in a run
-            // with any other shard count.
-            let until_refresh = refresh_every - (ticks % refresh_every);
-            let batch = BATCH_TICKS
-                .min(until_refresh)
-                .min(self.config.max_events - ticks);
-            planner.clear();
-            for _ in 0..batch {
-                let event = self.sampler.next_tick();
-                time = event.time;
-                let edge = self.edges[event.edge.index()];
-                let delivered = match self.faults.as_mut() {
-                    Some(injector) => {
-                        injector.classify(event.edge, edge, event.global_tick_count)
-                            == ContactFate::Delivered
-                    }
-                    None => true,
-                };
-                if !delivered {
-                    continue;
-                }
-                let (u, v) = edge.endpoints();
-                let adversarial = match self.adversary.as_mut() {
-                    None => false,
-                    Some(injector) => {
-                        if injector.touches(event.edge, edge) {
-                            true
-                        } else {
-                            injector.note_honest();
-                            false
-                        }
-                    }
-                };
-                if !adversarial {
-                    planner.push(u.index(), v.index());
-                    continue;
-                }
-                // Adversary-involved contact: flush the pending parallel
-                // batch first, so the classification (which may read the
-                // endpoints' values) and the serial application below both
-                // observe the fully-applied state.  Every flush point and
-                // every value read depends only on the event sequence, so
-                // the run stays bit-identical for every shard count.
-                let (d_sum, d_sum_sq) = planner.apply(&executor, &shared, kernel, tracker.shift());
-                tracker.apply_delta(d_sum, d_sum_sq);
-                planner.clear();
-                let injector = self
-                    .adversary
-                    .as_mut()
-                    .expect("adversarial contacts only arise with an injector present");
-                let value_u = shared.get(u.index());
-                let value_v = shared.get(v.index());
-                let action =
-                    injector.classify(event.edge, edge, event.global_tick_count, value_u, value_v);
-                match action {
-                    AdversaryAction::Honest => planner.push(u.index(), v.index()),
-                    AdversaryAction::Censored => {}
-                    AdversaryAction::Falsified(contact) => {
-                        // Substitute-run-restore collapsed to its net effect,
-                        // applied with the same kernel and the same per-entry
-                        // moment arithmetic as a parallel lane.
-                        let in_u = contact.u.map_or(value_u, |r| r.value);
-                        let in_v = contact.v.map_or(value_v, |r| r.value);
-                        let (out_u, out_v) = kernel(in_u, in_v);
-                        let new_u = if contact.u.is_some_and(|r| r.restore) {
-                            value_u
-                        } else {
-                            out_u
-                        };
-                        let new_v = if contact.v.is_some_and(|r| r.restore) {
-                            value_v
-                        } else {
-                            out_v
-                        };
-                        shared.set(u.index(), new_u);
-                        shared.set(v.index(), new_v);
-                        let shift = tracker.shift();
-                        let (mut d_sum, mut d_sum_sq) = (0.0, 0.0);
-                        for (old, new) in [(value_u, new_u), (value_v, new_v)] {
-                            let d_old = old - shift;
-                            let d_new = new - shift;
-                            d_sum += d_new - d_old;
-                            d_sum_sq += d_new * d_new - d_old * d_old;
-                        }
-                        tracker.apply_delta(d_sum, d_sum_sq);
-                    }
-                }
-            }
-            ticks += batch;
-            let (d_sum, d_sum_sq) = planner.apply(&executor, &shared, kernel, tracker.shift());
-            tracker.apply_delta(d_sum, d_sum_sq);
-
-            if ticks.is_multiple_of(refresh_every) {
-                shared.snapshot_into(&mut snapshot);
-                tracker.refresh(&snapshot);
-                self.moment_refreshes += 1;
-                if !tracker.is_finite() {
-                    // Same split as the legacy loop: a genuinely non-finite
-                    // value errors out; finite values whose squared
-                    // deviations overflow keep running as "not converged".
-                    check_finite_slice(&snapshot)?;
-                    self.moments_overflowed = true;
-                }
-            }
-
-            // Batch-granularity stopping check, mirroring the legacy loop's
-            // per-check recentring and one-shot overflow salvage.
-            if tracker.is_finite() {
-                self.moments_overflowed = false;
-                if tracker.needs_recenter() {
-                    shared.snapshot_into(&mut snapshot);
-                    tracker.refresh(&snapshot);
-                    self.moment_refreshes += 1;
-                }
-            } else if !self.moments_overflowed {
-                shared.snapshot_into(&mut snapshot);
-                check_finite_slice(&snapshot)?;
-                tracker.refresh(&snapshot);
-                self.moment_refreshes += 1;
-                if !tracker.is_finite() {
-                    self.moments_overflowed = true;
-                }
-            }
-            let status = SimulationStatus {
-                time,
-                ticks,
-                variance: tracker.variance(),
-                initial_variance: self.initial_variance,
-            };
-            self.note_settling(&status);
-            if let Some(reason) = self.config.stopping_rule.evaluate(&status) {
-                break Ok((time, ticks, reason));
-            }
-        };
-        // Install the evolved state back into `self.values` regardless of
-        // how the loop ended, so `values()` (and the terminal finiteness
-        // scan below) observe it just as they would after the legacy loop.
-        shared.snapshot_into(&mut snapshot);
-        self.values.overwrite_from_slice(&snapshot);
-        let (time, ticks, reason) = stopped?;
-        if self.moments_overflowed {
-            // The overflow flag suppressed per-batch finiteness scans; honor
-            // `run`'s error contract for the terminal state.
-            self.values.check_finite()?;
-        }
-        Ok((time, ticks, reason))
-    }
-
-    /// Snapshots the full resumable state at a checkpoint boundary.  Pure
-    /// read: no RNG stream advances, so capture never perturbs the run.
-    fn capture_checkpoint(&self, time: f64, ticks: u64) -> EngineCheckpoint {
-        EngineCheckpoint {
-            ticks,
-            time,
-            seed: self.config.seed,
-            clock_model: self.config.clock_model,
-            node_count: self.graph.node_count(),
-            edge_count: self.edges.len(),
-            values: self.values.as_slice().to_vec(),
-            moments: self.values.moments().to_raw_parts(),
-            initial_variance: self.initial_variance,
-            last_settle: self.last_settle,
-            moment_refreshes: self.moment_refreshes,
-            moments_overflowed: self.moments_overflowed,
-            sampler: match &self.sampler {
-                Sampler::Queue(queue) => SamplerState::Queue(queue.checkpoint_state()),
-                Sampler::Global(global) => SamplerState::Global(global.checkpoint_state()),
-            },
-            faults: self.faults.as_ref().map(|i| i.checkpoint_state()),
-            adversary: self.adversary.as_ref().map(|i| i.checkpoint_state()),
-        }
-    }
-
-    fn finish(
-        &mut self,
-        time: f64,
-        ticks: u64,
-        reason: StopReason,
-        recorder: Option<TraceRecorder>,
-    ) -> SimulationOutcome {
         let trace = recorder.map(|mut rec| {
-            rec.record(time, ticks.max(1), &self.values, true);
-            // Restore the moved-in trace configuration and partition so a
+            if let Ok((time, ticks, _)) = stopped {
+                rec.record(time, ticks.max(1), &self.values, true);
+            }
+            // Hand the moved-in trace configuration and partition back so a
             // later `run` on this simulator records again (they are taken,
             // not cloned, at the top of `run`).
             let (trace, cfg, partition) = rec.finish_with_parts();
-            self.config.trace = Some(cfg);
-            self.config.partition = partition;
+            self.engine.config.trace = Some(cfg);
+            self.engine.config.partition = partition;
             trace
         });
-        SimulationOutcome {
+        let (time, ticks, reason) = stopped?;
+        Ok(SimulationOutcome {
             final_variance: self.values.variance(),
             final_values: self.values.clone(),
-            initial_variance: self.initial_variance,
+            initial_variance: self.engine.initial_variance,
             elapsed_time: time,
             total_ticks: ticks,
             stop_reason: reason,
             trace,
-            settling_time: self.config.settling_threshold.map(|_| self.last_settle),
-            moment_refreshes: self.moment_refreshes,
+            settling_time: self
+                .engine
+                .config
+                .settling_threshold
+                .map(|_| self.engine.last_settle),
+            moment_refreshes: self.engine.moment_refreshes,
             fault_stats: self.fault_stats(),
             adversary_stats: self.adversary_stats(),
-        }
+        })
     }
 
     /// The fault-injection counters accumulated so far (all zeros when no
@@ -1420,26 +1330,23 @@ impl<'g, H: EdgeTickHandler> AsyncSimulator<'g, H> {
     /// readable after [`Self::run`] returns an error, so callers can report
     /// how much of a censored run was suppressed.
     pub fn fault_stats(&self) -> FaultStats {
-        self.faults.as_ref().map(|i| i.stats()).unwrap_or_default()
+        self.engine
+            .faults
+            .as_ref()
+            .map(|i| i.stats())
+            .unwrap_or_default()
     }
 
     /// The adversary counters accumulated so far (all zeros when no
     /// adversary plan is configured); readable after errors like
     /// [`Self::fault_stats`].
     pub fn adversary_stats(&self) -> AdversaryStats {
-        self.adversary
+        self.engine
+            .adversary
             .as_ref()
             .map(|i| i.stats())
             .unwrap_or_default()
     }
-}
-
-/// `NodeValues::check_finite`, for a raw snapshot slice.
-fn check_finite_slice(values: &[f64]) -> Result<()> {
-    if let Some(node) = values.iter().position(|v| !v.is_finite()) {
-        return Err(SimError::NonFiniteValue { node });
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -2575,6 +2482,62 @@ mod tests {
             .with_checkpoint_every_ticks(4);
         let mut sim = AsyncSimulator::new(&g, spike(6), Vanilla, config).unwrap();
         assert!(matches!(sim.run(), Err(SimError::InvalidConfig { .. })));
+    }
+
+    #[test]
+    fn zero_cadences_are_rejected_at_every_entry_point() {
+        // The builders clamp to 1, but the fields are public: a direct zero
+        // would never check (or never refresh) in the serial loop and
+        // divide by zero in the sharded one, so construction rejects it.
+        let g = dumbbell(3).unwrap().0;
+        let base = SimulationConfig::new(4).with_stopping_rule(StoppingRule::max_ticks(512));
+        let mut checkpoints = Vec::new();
+        AsyncSimulator::new(
+            &g,
+            spike(6),
+            Vanilla,
+            base.clone().with_checkpoint_every_ticks(64),
+        )
+        .unwrap()
+        .run_with_checkpoints(&mut |cp| {
+            checkpoints.push(cp);
+            Ok(())
+        })
+        .unwrap();
+        let zero_check = SimulationConfig {
+            check_every_ticks: 0,
+            ..base.clone()
+        };
+        let zero_refresh = SimulationConfig {
+            moment_refresh_every_ticks: 0,
+            ..base.clone()
+        };
+        for config in [zero_check, zero_refresh] {
+            for sharded in [None, Some(2)] {
+                let config = SimulationConfig {
+                    shards: sharded,
+                    ..config.clone()
+                };
+                assert!(matches!(
+                    AsyncSimulator::new(&g, spike(6), Vanilla, config),
+                    Err(SimError::InvalidConfig { .. })
+                ));
+            }
+            assert!(matches!(
+                AsyncSimulator::restore(&g, Vanilla, config.clone(), &checkpoints[0]),
+                Err(SimError::InvalidConfig { .. })
+            ));
+            assert!(matches!(
+                crate::flat::run_f32(
+                    &g,
+                    &spike(6),
+                    |xu, xv| (0.5 * (xu + xv), 0.5 * (xu + xv)),
+                    &config,
+                    &crate::flat::F32Oracle::default()
+                ),
+                Err(SimError::InvalidConfig { .. })
+            ));
+        }
     }
 
     #[test]

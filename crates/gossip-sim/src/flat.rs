@@ -39,10 +39,14 @@
 //! incremental tracker's drift against an exact centered pass at stop time,
 //! with the same `1e-9`-per-unit-variance margin the f64 drift oracles use.
 
-use crate::engine::{Sampler, SimulationConfig, VarianceMode};
+use crate::clock::ClockScratch;
+use crate::engine::{
+    Engine, KernelContact, Lanes, Moments, Sampler, SimulationConfig, Snapshot, Storage,
+    VarianceMode,
+};
 use crate::handler::PairwiseKernel;
 use crate::moments::MomentTracker;
-use crate::stopping::{SimulationStatus, StopReason};
+use crate::stopping::StopReason;
 use crate::values::NodeValues;
 use crate::{Result, SimError};
 use gossip_graph::Graph;
@@ -182,12 +186,6 @@ fn invalid(reason: &str) -> SimError {
     }
 }
 
-fn widen_into(xs: &[f32], widened: &mut [f64]) {
-    for (wide, &narrow) in widened.iter_mut().zip(xs) {
-        *wide = f64::from(narrow);
-    }
-}
-
 fn exact_mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;
@@ -196,7 +194,7 @@ fn exact_mean(xs: &[f64]) -> f64 {
 }
 
 /// The centered O(n) pass of `Vector::variance`, over a raw slice.
-fn exact_variance(xs: &[f64]) -> f64 {
+pub(crate) fn exact_variance(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
@@ -204,25 +202,51 @@ fn exact_variance(xs: &[f64]) -> f64 {
     xs.iter().map(|&x| (x - mean) * (x - mean)).sum::<f64>() / xs.len() as f64
 }
 
+impl Snapshot for Vec<f32> {
+    fn snapshot_into(&self, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(self.iter().map(|&x| f64::from(x)));
+    }
+}
+
+/// f32 lanes: every read widens exactly, every write rounds to f32 and
+/// records the widened change, so the tracker follows the stored values.
+impl Storage for Lanes<Vec<f32>> {
+    #[inline]
+    fn get(&self, node: usize) -> f64 {
+        f64::from(self.values[node])
+    }
+
+    #[inline]
+    fn set(&mut self, node: usize, value: f64) {
+        let old = f64::from(self.values[node]);
+        let narrow = value as f32;
+        self.values[node] = narrow;
+        self.tracker.record_update(old, f64::from(narrow));
+    }
+}
+
 /// Runs `kernel` on `graph` with `f32`-stored values until
 /// `config.stopping_rule` fires, then checks the run against `oracle`.
 ///
-/// The configuration is interpreted exactly as the f64 engine would: same
-/// seed → same tick sequence (the clock streams never touch the values),
-/// same stopping rule, same check and refresh cadence.  Only a serial,
-/// trace-free, fault-free, honest, incremental-variance configuration is
-/// supported; anything else is [`SimError::InvalidConfig`] — the tier is an
-/// explicit opt-in, not a silent fallback.
+/// The configuration is interpreted exactly as the f64 engine would, by the
+/// same per-tick loop: same seed → same tick sequence (the clock streams
+/// never touch the values), same stopping rule, same check and refresh
+/// cadence, same [`SimulationConfig::wall_clock_deadline`].  Only a serial,
+/// trace-free, fault-free, honest, incremental-variance, non-checkpointing
+/// configuration is supported; anything else is [`SimError::InvalidConfig`]
+/// — the tier is an explicit opt-in, not a silent fallback.
 ///
 /// # Errors
 ///
-/// [`SimError::InvalidConfig`] for unsupported configurations,
-/// [`SimError::StateSizeMismatch`] / [`SimError::NoEdges`] /
-/// [`SimError::NonFiniteValue`] as in the f64 engine (values that overflow
-/// `f32` on the initial rounding are non-finite), and
-/// [`SimError::PrecisionOracle`] when the finished run violates `oracle` —
-/// so a violating run can never be mistaken for (or journaled as) a good
-/// one.
+/// [`SimError::InvalidConfig`] for unsupported configurations (a zero
+/// check or refresh cadence included), [`SimError::StateSizeMismatch`] /
+/// [`SimError::NoEdges`] / [`SimError::NonFiniteValue`] /
+/// [`SimError::EventBudgetExhausted`] / [`SimError::DeadlineExceeded`] as
+/// in the f64 engine (values that overflow `f32` on the initial rounding
+/// are non-finite), and [`SimError::PrecisionOracle`] when the finished run
+/// violates `oracle` — so a violating run can never be mistaken for (or
+/// journaled as) a good one.
 pub fn run_f32(
     graph: &Graph,
     initial: &NodeValues,
@@ -230,25 +254,25 @@ pub fn run_f32(
     config: &SimulationConfig,
     oracle: &F32Oracle,
 ) -> Result<F32Outcome> {
-    if config.trace.is_some() {
-        return Err(invalid("the f32 tier does not record traces"));
-    }
-    if config.fault_plan.is_some() {
-        return Err(invalid("the f32 tier does not support fault plans"));
-    }
-    if config.adversary_plan.is_some() {
-        return Err(invalid("the f32 tier does not support adversary plans"));
-    }
-    if config.shards.is_some() {
-        return Err(invalid("the f32 tier is serial; shards are unsupported"));
-    }
-    if config.variance_mode != VarianceMode::Incremental {
-        return Err(invalid(
-            "the f32 tier requires the incremental variance mode",
-        ));
-    }
-    if config.settling_threshold.is_some() {
-        return Err(invalid("the f32 tier does not track settling times"));
+    let unsupported = if config.trace.is_some() {
+        Some("does not record traces")
+    } else if config.fault_plan.is_some() {
+        Some("does not support fault plans")
+    } else if config.adversary_plan.is_some() {
+        Some("does not support adversary plans")
+    } else if config.shards.is_some() {
+        Some("is serial; shards are unsupported")
+    } else if config.variance_mode != VarianceMode::Incremental {
+        Some("requires the incremental variance mode")
+    } else if config.settling_threshold.is_some() {
+        Some("does not track settling times")
+    } else if config.checkpoint_every_ticks != 0 {
+        Some("does not capture checkpoints")
+    } else {
+        None
+    };
+    if let Some(reason) = unsupported {
+        return Err(invalid(&format!("the f32 tier {reason}")));
     }
     if initial.len() != graph.node_count() {
         return Err(SimError::StateSizeMismatch {
@@ -259,98 +283,44 @@ pub fn run_f32(
     let topology = FlatTopology::new(graph)
         .ok_or_else(|| invalid("graph node count does not fit the packed 32-bit topology"))?;
 
-    let mut xs: Vec<f32> = initial.as_slice().iter().map(|&x| x as f32).collect();
+    let xs: Vec<f32> = initial.as_slice().iter().map(|&x| x as f32).collect();
     if let Some(node) = xs.iter().position(|v| !v.is_finite()) {
         return Err(SimError::NonFiniteValue { node });
     }
-    let mut widened: Vec<f64> = xs.iter().map(|&x| f64::from(x)).collect();
-    let mut tracker = MomentTracker::from_slice(&widened);
-    let initial_mean = exact_mean(&widened);
-    let initial_variance = exact_variance(&widened);
     // Convexity pins every value inside the initial range, so the rounded
     // initial magnitude bounds |value| for the whole run.
     let magnitude = f64::from(xs.iter().fold(0.0_f32, |acc, &x| acc.max(x.abs())));
-
-    let mut sampler = Sampler::from_model(config.clock_model, graph, config.seed)?;
-    let mut refreshes = 0u64;
-    let mut time = 0.0_f64;
-    let mut ticks = 0u64;
-    let initial_status = SimulationStatus {
-        time: 0.0,
-        ticks: 0,
-        variance: initial_variance,
-        initial_variance,
-    };
-    let stop_reason = match config.stopping_rule.evaluate(&initial_status) {
-        Some(reason) => reason,
-        None => loop {
-            if ticks >= config.max_events {
-                return Err(SimError::EventBudgetExhausted { events: ticks });
-            }
-            let event = sampler.next_tick();
-            ticks = event.global_tick_count;
-            time = event.time;
-            let (u, v) = topology.endpoints(event.edge.index());
-            let xu = f64::from(xs[u]);
-            let xv = f64::from(xs[v]);
-            let (new_u, new_v) = kernel(xu, xv);
-            let rounded_u = new_u as f32;
-            let rounded_v = new_v as f32;
-            xs[u] = rounded_u;
-            tracker.record_update(xu, f64::from(rounded_u));
-            xs[v] = rounded_v;
-            tracker.record_update(xv, f64::from(rounded_v));
-
-            if ticks.is_multiple_of(config.moment_refresh_every_ticks) {
-                widen_into(&xs, &mut widened);
-                tracker.refresh(&widened);
-                refreshes += 1;
-            }
-
-            if ticks.is_multiple_of(config.check_every_ticks) {
-                if !tracker.is_finite() {
-                    if let Some(node) = xs.iter().position(|x| !x.is_finite()) {
-                        return Err(SimError::NonFiniteValue { node });
-                    }
-                    // A transient poisoned the sticky running sums while the
-                    // values recovered; rebuild exactly (finite f32 squares
-                    // cannot overflow the f64 sums, so the refresh always
-                    // restores finiteness).
-                    widen_into(&xs, &mut widened);
-                    tracker.refresh(&widened);
-                    refreshes += 1;
-                } else if tracker.needs_recenter() {
-                    widen_into(&xs, &mut widened);
-                    tracker.refresh(&widened);
-                    refreshes += 1;
-                }
-                let status = SimulationStatus {
-                    time,
-                    ticks,
-                    variance: tracker.variance(),
-                    initial_variance,
-                };
-                if let Some(reason) = config.stopping_rule.evaluate(&status) {
-                    break reason;
-                }
-            }
-        },
+    let wide: Vec<f64> = xs.iter().map(|&x| f64::from(x)).collect();
+    let initial_mean = exact_mean(&wide);
+    let initial_variance = exact_variance(&wide);
+    let mut store = Lanes {
+        tracker: MomentTracker::from_slice(&wide),
+        values: xs,
+        wide,
     };
 
-    widen_into(&xs, &mut widened);
-    if let Some(node) = xs.iter().position(|x| !x.is_finite()) {
-        return Err(SimError::NonFiniteValue { node });
-    }
+    let mut engine = Engine::new(graph, config.clone(), initial_variance, |config| {
+        Sampler::new(graph, config, &mut ClockScratch::default())
+    })?;
+    let mut contact = KernelContact(&topology, kernel);
+    let (time, ticks, stop_reason) = match engine.evaluate(0.0, 0, initial_variance) {
+        Some(reason) => (0.0, 0, reason),
+        None => engine.run_serial(&mut store, &mut contact, &mut |_, _, _, _| Ok(()))?,
+    };
+
+    // The shared stop check surfaces any non-finite value before a stop, so
+    // the final state is finite here.
+    let (wide, tracker) = store.parts();
     let tracked_variance = tracker.variance();
-    let final_variance = exact_variance(&widened);
-    let mean_drift = (exact_mean(&widened) - initial_mean).abs();
-    let mean_drift_bound = oracle.mean_drift_bound(magnitude, ticks, xs.len());
+    let final_variance = exact_variance(wide);
+    let mean_drift = (exact_mean(wide) - initial_mean).abs();
+    let nodes = wide.len();
+    let mean_drift_bound = oracle.mean_drift_bound(magnitude, ticks, nodes);
     if mean_drift > mean_drift_bound {
         return Err(SimError::PrecisionOracle {
             reason: format!(
                 "f32 mean drift {mean_drift:e} exceeds the a-priori bound {mean_drift_bound:e} \
-                 after {ticks} ticks on {} nodes",
-                xs.len()
+                 after {ticks} ticks on {nodes} nodes"
             ),
         });
     }
@@ -365,13 +335,13 @@ pub fn run_f32(
         });
     }
     Ok(F32Outcome {
-        final_values: xs,
+        final_values: store.values,
         initial_variance,
         final_variance,
         elapsed_time: time,
         total_ticks: ticks,
         stop_reason,
-        moment_refreshes: refreshes,
+        moment_refreshes: engine.moment_refreshes,
         mean_drift,
         mean_drift_bound,
         variance_error,
@@ -506,6 +476,9 @@ mod tests {
         assert!(reject(
             SimulationConfig::new(1).with_settling_threshold(0.5)
         ));
+        assert!(reject(
+            SimulationConfig::new(1).with_checkpoint_every_ticks(1_000)
+        ));
         assert!(matches!(
             run_f32(
                 &graph,
@@ -515,6 +488,29 @@ mod tests {
                 &F32Oracle::default()
             ),
             Err(SimError::StateSizeMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn f32_tier_honours_the_wall_clock_deadline() {
+        // A rule that can never fire plus a zero deadline: the shared loop
+        // cuts the run at its first deadline check, as in the f64 engine.
+        let graph = complete(4).unwrap();
+        let config = SimulationConfig::new(5)
+            .with_stopping_rule(StoppingRule::variance_ratio_below(0.0))
+            .with_wall_clock_deadline(std::time::Duration::ZERO);
+        let result = run_f32(
+            &graph,
+            &spread(4),
+            vanilla_kernel,
+            &config,
+            &F32Oracle::default(),
+        );
+        assert!(matches!(
+            result,
+            Err(SimError::DeadlineExceeded {
+                ticks: crate::engine::DEADLINE_CHECK_TICKS
+            })
         ));
     }
 

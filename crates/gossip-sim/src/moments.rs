@@ -164,10 +164,9 @@ impl MomentTracker {
 
     /// Applies the O(1) delta for one entry changing from `old` to `new`.
     pub fn record_update(&mut self, old: f64, new: f64) {
-        let d_old = old - self.shift;
-        let d_new = new - self.shift;
-        self.sum += d_new - d_old;
-        self.sum_sq += d_new * d_new - d_old * d_old;
+        let (delta, delta_sq) = shifted_delta(old, new, self.shift);
+        self.sum += delta;
+        self.sum_sq += delta_sq;
     }
 
     /// The current shift.  Crate-internal: the sharded engine accumulates
@@ -229,6 +228,17 @@ impl MomentTracker {
             refreshes,
         }
     }
+}
+
+/// The change `(Δsum, Δsum²)` of the shifted sums when one entry moves from
+/// `old` to `new`.  [`MomentTracker::record_update`] and the sharded
+/// engine's lane accumulators share it, so both use the same per-entry
+/// arithmetic and differ only in summation order.
+#[inline]
+pub(crate) fn shifted_delta(old: f64, new: f64, shift: f64) -> (f64, f64) {
+    let d_old = old - shift;
+    let d_new = new - shift;
+    (d_new - d_old, d_new * d_new - d_old * d_old)
 }
 
 fn exact_shifted_sums(values: &[f64]) -> (f64, f64, f64) {

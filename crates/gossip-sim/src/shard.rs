@@ -21,7 +21,7 @@
 //! every shard count: `shards = 1`, `2`, and `4` execute the *same* additions
 //! in the *same* order, merely on different threads.  (The schedule does
 //! differ from the serial engine's one-tracker-update-per-set order, which is
-//! why `SimulationConfig::shards = None` keeps the legacy loop untouched and
+//! why `SimulationConfig::shards = None` keeps the serial loop untouched and
 //! byte-stable.)
 //!
 //! Values live in a [`SharedValues`] array of `AtomicU64` bit patterns —
@@ -30,6 +30,8 @@
 //! last written in earlier rounds, and the executor's join (a mutex/condvar
 //! hand-off in the worker pool) provides the cross-round happens-before edge.
 
+use crate::engine::Snapshot;
+use crate::moments::shifted_delta;
 use crate::values::NodeValues;
 use gossip_exec::Executor;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,9 +82,10 @@ impl SharedValues {
     pub(crate) fn set(&self, node: usize, value: f64) {
         self.bits[node].store(value.to_bits(), Ordering::Relaxed);
     }
+}
 
-    /// Snapshots the current values into `out` (cleared first).
-    pub(crate) fn snapshot_into(&self, out: &mut Vec<f64>) {
+impl Snapshot for SharedValues {
+    fn snapshot_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.extend(
             self.bits
@@ -243,14 +246,11 @@ fn apply_lane(
         let (nu, nv) = kernel(xu, xv);
         values.set(u, nu);
         values.set(v, nv);
-        let d_old = xu - shift;
-        let d_new = nu - shift;
-        d_sum += d_new - d_old;
-        d_sum_sq += d_new * d_new - d_old * d_old;
-        let d_old = xv - shift;
-        let d_new = nv - shift;
-        d_sum += d_new - d_old;
-        d_sum_sq += d_new * d_new - d_old * d_old;
+        for (old, new) in [(xu, nu), (xv, nv)] {
+            let (delta, delta_sq) = shifted_delta(old, new, shift);
+            d_sum += delta;
+            d_sum_sq += delta_sq;
+        }
     }
     (d_sum, d_sum_sq)
 }

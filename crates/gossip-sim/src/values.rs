@@ -377,8 +377,8 @@ impl NodeValues {
     /// Crate-internal: overwrites the values from a raw slice and rebuilds
     /// the tracker with an exact pass, **without** a finiteness check — the
     /// sharded engine installs its (possibly poisoned) final state through
-    /// this before deciding whether to surface an error, mirroring how the
-    /// serial loop's state stays observable after a failed run.
+    /// this however its loop ended, mirroring how the serial loop's state
+    /// stays observable after a failed run.
     pub(crate) fn overwrite_from_slice(&mut self, values: &[f64]) {
         self.values.as_mut_slice().copy_from_slice(values);
         self.moments = MomentTracker::from_slice(values);
